@@ -17,12 +17,13 @@
 // write path with the metrics registry (respectively the flight
 // recorder) disabled vs enabled, record the delta (-mojson / -tojson),
 // and can gate CI with -maxoverhead / -maxtraceoverhead. hotpath
-// compares the legacy copying request loop against the pooled zero-copy
-// path (and the coalescing variant), records the ratio (-hotjson), and
-// gates CI with -minhotspeedup. chaos executes the seeded fault-schedule
-// corpus (seeds 1..-chaosseeds) from internal/chaos, records per-seed
-// coverage (-chaosjson), and exits nonzero — printing the one-command
-// replay — if any schedule violates an invariant. fairness runs the
+// measures the pooled zero-copy network write path and its coalescing
+// variant, records both (-hotjson), and fails if the pooled path
+// allocates more heap per flush than its fixed ceiling. chaos executes
+// the seeded fault-schedule corpus (seeds 1..-chaosseeds) from
+// internal/chaos, records per-seed coverage (-chaosjson), and exits
+// nonzero — printing the one-command replay — if any schedule violates
+// an invariant. fairness runs the
 // multi-tenant noisy-neighbor experiment: a quiet tenant's flush p99
 // measured solo, racing rate-shaped aggressors with per-tenant QoS
 // admission on, and racing the same aggressors with QoS off (the
@@ -71,7 +72,6 @@ func main() {
 		hotBatches  = flag.Int("hotbatches", 150, "batches per client (hotpath)")
 		hotTrials   = flag.Int("hottrials", 3, "trials per arm, best kept (hotpath)")
 		hotJSON     = flag.String("hotjson", "BENCH_hotpath.json", "JSON output file for the hotpath experiment (empty disables)")
-		minHotRatio = flag.Float64("minhotspeedup", 0, "fail if the best pooled-path speedup vs the copy path falls below this ratio (0 disables the gate)")
 		chaosSeeds  = flag.Int("chaosseeds", 4, "generated schedules to execute, seeds 1..N (chaos)")
 		chaosJSON   = flag.String("chaosjson", "BENCH_chaos.json", "JSON output file for the chaos experiment (empty disables)")
 		ynRecords   = flag.Uint64("ynrecords", 2000, "YCSB working-set records, all preloaded (ycsbnet)")
@@ -107,7 +107,7 @@ func main() {
 	scale.YCSBOps = *ops
 	mo := overheadFlags{batches: *moBatches, trials: *moTrials, json: *moJSON, maxPct: *maxOverhead}
 	to := overheadFlags{batches: *toBatches, trials: *toTrials, json: *toJSON, maxPct: *maxTraceOH}
-	hot := hotpathFlags{batches: *hotBatches, trials: *hotTrials, json: *hotJSON, minRatio: *minHotRatio}
+	hot := hotpathFlags{batches: *hotBatches, trials: *hotTrials, json: *hotJSON}
 	ch := chaosFlags{seeds: *chaosSeeds, json: *chaosJSON}
 	yn := ycsbnetFlags{records: *ynRecords, ops: *ynOps, clients: *ynClients,
 		cacheBytes: int64(*ynCacheMB) << 20, readers: *ynReaders, readsPerArm: *ynReads,
@@ -129,13 +129,12 @@ type overheadFlags struct {
 	maxPct  float64 // >0: exit nonzero if overhead exceeds this percent
 }
 
-// hotpathFlags carries the hotpath experiment's knobs; its gate is a
-// minimum speedup ratio rather than a maximum overhead.
+// hotpathFlags carries the hotpath experiment's knobs; its gate is the
+// fixed allocation ceiling of HotpathResult.CheckCeiling.
 type hotpathFlags struct {
-	batches  int
-	trials   int
-	json     string
-	minRatio float64 // >0: exit nonzero if pooled/copy falls below
+	batches int
+	trials  int
+	json    string
 }
 
 // chaosFlags carries the chaos corpus experiment's knobs. It always
@@ -297,8 +296,8 @@ func run(exp string, scale harness.Scale, netBatches int, netJSON string, mo, to
 			}
 			fmt.Printf("result written to %s\n", hot.json)
 		}
-		if best := max(res.SpeedupPooled, res.SpeedupCoalesced); hot.minRatio > 0 && best < hot.minRatio {
-			return fmt.Errorf("hotpath speedup %.2fx below minimum %.2fx", best, hot.minRatio)
+		if err := res.CheckCeiling(); err != nil {
+			return err
 		}
 	case "ycsbnet":
 		rows, err := harness.RunYCSBNet(yn.records, yn.ops, yn.clients, yn.cacheBytes)

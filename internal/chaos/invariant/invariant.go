@@ -357,7 +357,7 @@ func checkPage(s Store, p Page) string {
 		return fmt.Sprintf("content: Read(%d) length %d, want aligned %d", p.LPID, len(got), addr.AlignUp(len(p.Want)))
 	}
 	if !bytes.Equal(got[:len(p.Want)], p.Want) {
-		return fmt.Sprintf("content: Read(%d) differs from acknowledged version", p.LPID)
+		return fmt.Sprintf("content: Read(%d) differs from acknowledged version: %s", p.LPID, describeDiff(got, p.Want))
 	}
 	for _, b := range got[len(p.Want):] {
 		if b != 0 {
@@ -372,6 +372,25 @@ func checkPage(s Store, p Page) string {
 		return fmt.Sprintf("content: cached re-Read(%d) disagrees with flash read", p.LPID)
 	}
 	return ""
+}
+
+// describeDiff says how a read differs from the acknowledged bytes: the
+// first differing offset, the share of zero bytes in the read (a high
+// share suggests erased or never-programmed media behind the mapping),
+// and the wanted logical length against the stored (aligned) length.
+func describeDiff(got, want []byte) string {
+	first := 0
+	for first < len(want) && got[first] == want[first] {
+		first++
+	}
+	zeros := 0
+	for _, b := range got {
+		if b == 0 {
+			zeros++
+		}
+	}
+	return fmt.Sprintf("first difference at offset %d, %.1f%% of the read is zero bytes, want %d bytes, stored %d",
+		first, 100*float64(zeros)/float64(max(len(got), 1)), len(want), len(got))
 }
 
 // TB is the sliver of *testing.T the test helper needs; an interface so

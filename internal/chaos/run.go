@@ -118,7 +118,7 @@ func pageData(lpid addr.LPID, version uint64, size int) []byte {
 	return b
 }
 
-func buildBatch(s Schedule, w int, wsn uint64) []core.LPage {
+func scheduleBatch(s Schedule, w int, wsn uint64) []core.LPage {
 	pages := make([]core.LPage, 0, s.Pages+1)
 	for i := 0; i < s.Pages; i++ {
 		lpid := uniqueLPID(w, wsn, i)
@@ -569,7 +569,7 @@ func runWriter(s Schedule, w int, tenant string, priority uint8, px *Proxy, kill
 	*sidOut = sid
 
 	for wsn := uint64(1); wsn <= uint64(s.Batches); wsn++ {
-		pages := buildBatch(s, w, wsn)
+		pages := scheduleBatch(s, w, wsn)
 		if killAt[wsn] {
 			px.ArmKill()
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 
 	"eleos/internal/addr"
 )
@@ -112,36 +111,4 @@ func decodeBatch(wire []byte, dst []LPage, copyData bool) ([]LPage, error) {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrBadBatch)
 	}
 	return pages, nil
-}
-
-// viewPool recycles the page-view slices WriteBatchWire decodes into,
-// so the wire entry point allocates no per-batch slice in steady state.
-var viewPool = sync.Pool{New: func() any { return new([]LPage) }}
-
-// WriteBatchWire is flush_batch as it crosses the transport: the
-// controller parses the buffer's in-batch metadata, then executes the
-// write as one system action.
-func (c *Controller) WriteBatchWire(sid, wsn uint64, wire []byte) error {
-	return c.WriteBatchWireTraced(sid, wsn, 0, wire)
-}
-
-// WriteBatchWireTraced is WriteBatchWire carrying the flush frame's
-// trace ID (see WriteBatchTraced). The wire buffer is borrowed, not
-// copied: its bytes are read (through page views) up to the moment the
-// batch's flash programs are submitted, so callers passing a pooled
-// frame may release it as soon as the call returns.
-func (c *Controller) WriteBatchWireTraced(sid, wsn, traceID uint64, wire []byte) error {
-	vp := viewPool.Get().(*[]LPage)
-	pages, err := AppendBatchView((*vp)[:0], wire)
-	if err == nil {
-		err = c.WriteBatchTraced(sid, wsn, traceID, pages)
-	}
-	// Drop the data views before pooling the slice: a pooled slice must
-	// not pin the caller's wire buffer (or a recycled pooled frame).
-	if pages != nil {
-		clear(pages)
-		*vp = pages[:0]
-	}
-	viewPool.Put(vp)
-	return err
 }

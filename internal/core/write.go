@@ -15,11 +15,28 @@ import (
 	"eleos/internal/trace"
 )
 
-// flushRef identifies one (sid, wsn) flush carried by an action. A
-// plain WriteBatch action carries exactly one; a coalesced group action
-// (WriteBatchGroup) carries one per merged sub-flush, and the commit,
-// session-advance and trace machinery fan out over them.
+// Flush is one host flush: a buffer of variable-size logical pages that
+// the controller writes atomically (§IV), ordered within its session by
+// (SID, WSN) (§III-A2). Pass SID 0 for unordered writes. Pages may be
+// zero-copy views into the caller's buffers (the network front-end
+// passes views into pooled request frames): they are read only until
+// Write returns.
+type Flush struct {
+	SID     uint64
+	WSN     uint64
+	TraceID uint64 // flight-recorder trace ID (0 = assign when tracing)
+	Pages   []LPage
+	Err     error // the flush's outcome, valid after Write returns
+}
+
+// errDeferred marks a grouped flush whose WSN was early or in flight at
+// claim time; Write reruns it alone after the group.
+var errDeferred = errors.New("core: flush deferred")
+
+// flushRef is one claimed flush carried by an action: the commit,
+// session-advance and trace machinery fan out over an action's refs.
 type flushRef struct {
+	idx   int // position in the Write call's flush slice
 	sid   uint64
 	wsn   uint64
 	tid   uint64 // flight-recorder trace ID (0 = untraced)
@@ -41,116 +58,203 @@ type action struct {
 	plan *provision.Plan
 	lsns []record.LSN // per-page Update record LSNs
 
-	subs    []flushRef   // the flushes this action carries (≥1)
-	subsArr [1]flushRef  // inline storage for the single-flush case
+	subs    []flushRef  // the flushes this action carries (≥1)
+	subsArr [1]flushRef // inline storage for the single-flush case
 }
 
-// WriteBatch durably writes a buffer of variable-size logical pages as one
-// atomic system action (§IV). Pages are applied in buffer order: a later
-// page for the same LPID overwrites an earlier one.
-//
-// sid/wsn order buffers within a session (§III-A2): pass sid = 0 for
-// unordered writes. A WSN already applied returns nil without re-applying
-// (the paper re-ACKs the highest WSN); a WSN ahead of its predecessors
-// blocks until they arrive.
-//
-// WriteBatch is safe for concurrent use. Concurrent batches pipeline: each
-// holds c.mu only for admission, the provision/log/submit critical section,
-// and the install; flash programs execute on the per-channel device workers
-// and the commit force runs with the lock released (committers share forced
-// log pages — group commit).
+// WriteBatch writes one flush (see Write) and returns its outcome.
 func (c *Controller) WriteBatch(sid, wsn uint64, pages []LPage) error {
-	return c.WriteBatchTraced(sid, wsn, 0, pages)
+	f := Flush{SID: sid, WSN: wsn, Pages: pages}
+	fs := [1]*Flush{&f}
+	c.Write(fs[:])
+	return f.Err
 }
 
-// WriteBatchTraced is WriteBatch with an explicit flight-recorder trace
-// ID tying the batch's spans to the originating request (the network
-// front-end propagates the ID from flush_batch_traced frames). traceID 0
-// gets a fresh ID when tracing is enabled, so every batch is always
-// attributable in the recorder.
-func (c *Controller) WriteBatchTraced(sid, wsn, traceID uint64, pages []LPage) error {
+// Write durably writes each flush's pages in buffer order (a later page
+// for the same LPID overwrites an earlier one) and sets every flush's
+// Err. The flushes it claims share one system action — one
+// provision/program/commit cycle — so a call with one flush is the
+// paper's batched write and a call with several is the server's
+// coalesced group. Each flush keeps its own semantics:
+//
+//   - WSN admission is per flush (§III-A2). A stale WSN is re-ACKed
+//     (Err = nil) without being written. A lone flush whose WSN is ahead
+//     of its predecessors, or duplicates an in-flight one, blocks until
+//     they land; in a group that flush is deferred and written alone
+//     after the group, so a gap in one session never stalls the others.
+//   - One Commit record is appended per flush under the action's id, so
+//     every claimed (sid, wsn) commits atomically with the action and
+//     recovery advances each session independently.
+//   - A malformed flush fails alone; its groupmates still write.
+//
+// Media failures and crash outcomes apply to every flush the action
+// carried. Write is safe for concurrent use. Concurrent actions
+// pipeline: each holds c.mu only for admission, the
+// provision/log/submit critical section, and the install; flash
+// programs execute on the per-channel device workers and the commit
+// force runs with the lock released (committers share forced log pages
+// — group commit). With tracing on, a flush with TraceID 0 gets a fresh
+// ID, so every flush is attributable in the recorder.
+func (c *Controller) Write(fs []*Flush) {
 	tracing := c.trc.Enabled()
 	if tracing {
-		if traceID == 0 {
-			traceID = c.trc.NewTraceID()
+		for _, f := range fs {
+			if f.TraceID == 0 {
+				f.TraceID = c.trc.NewTraceID()
+			}
+			c.trc.Emit(trace.KBatchStart, f.TraceID, f.SID, f.WSN, int64(len(f.Pages)), 0)
 		}
-		c.trc.Emit(trace.KBatchStart, traceID, sid, wsn, int64(len(pages)), 0)
 	}
-	err := c.writeBatch(sid, wsn, traceID, pages)
+	c.write(fs)
+	for i, f := range fs {
+		if f.Err == errDeferred {
+			c.write(fs[i : i+1])
+		}
+	}
 	if tracing {
-		var fail int64
-		if err != nil {
-			fail = 1
+		for _, f := range fs {
+			var fail int64
+			if f.Err != nil {
+				fail = 1
+			}
+			c.trc.Emit(trace.KBatchEnd, f.TraceID, f.SID, f.WSN, fail, 0)
 		}
-		c.trc.Emit(trace.KBatchEnd, traceID, sid, wsn, fail, 0)
 	}
-	return err
 }
 
-func (c *Controller) writeBatch(sid, wsn, traceID uint64, pages []LPage) error {
-	// Claim stage: lock acquisition plus WSN admission (which may wait for
-	// predecessor WSNs). Timed only when the registry or tracer needs it.
+// write claims fs and writes the claimed flushes as one action. Each is
+// validated alone, so a malformed one drops out (its claim released)
+// while its groupmates write; the rest are laid back to back (64-byte
+// aligned) in one pooled program buffer, exactly as a batch arrives
+// over the wire, so the steady-state write path allocates no program
+// buffer.
+func (c *Controller) write(fs []*Flush) {
+	a := &action{}
+	a.subs = a.subsArr[:0]
+	if len(fs) > 1 {
+		a.subs = make([]flushRef, 0, len(fs))
+	}
+	c.claim(a, fs)
+	claimed := a.subs
+	a.subs = a.subs[:0]
+	total, npages := 0, 0
+	for _, s := range claimed {
+		f := fs[s.idx]
+		n, err := validatePages(f.Pages)
+		if err != nil {
+			f.Err = err
+			c.releaseClaim(s)
+			continue
+		}
+		total += n
+		npages += s.pages
+		a.subs = append(a.subs, s)
+	}
+	if len(a.subs) == 0 {
+		return
+	}
+	a.pb = bufpool.Get(total)
+	a.buf = a.pb.Bytes()
+	a.bps = make([]provision.BatchPage, 0, npages)
+	off := 0
+	for _, s := range a.subs {
+		a.bps, off = layoutPages(a.buf, a.bps, off, fs[s.idx].Pages)
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	err := ErrCrashed
+	if !c.crashed {
+		err = c.writeUser(a)
+	}
+	// The flash programs have completed (or were never submitted): the
+	// pooled program buffer goes back to the pool here and nowhere else.
+	a.pb.Release()
+	a.pb = nil
+	for _, s := range a.subs {
+		fs[s.idx].Err = err
+		if s.sid != 0 {
+			delete(c.wsnInflight, [2]uint64{s.sid, s.wsn})
+		}
+	}
+	c.wsnCond.Broadcast()
+	if err == nil {
+		c.maybeGCLocked()
+		c.maybeCheckpointLocked()
+	}
+}
+
+// claim runs WSN admission (§III-A2) for every flush under one lock
+// acquisition and appends the admitted ones to a.subs, claiming each
+// (sid, wsn) so a concurrent duplicate cannot be admitted while this one
+// runs outside the lock. Every other flush is finished here — failed,
+// re-ACKed as stale, or, in a group, marked errDeferred because its WSN
+// is early or in flight. A lone flush waits for its predecessors
+// instead, re-checking for a crash after each wake.
+func (c *Controller) claim(a *action, fs []*Flush) {
+	// Claim stage: lock acquisition plus admission. Timed only when the
+	// registry or tracer needs it.
 	timed := c.met.on || c.trc.Enabled()
 	var tClaim time.Time
 	if timed {
 		tClaim = time.Now()
 	}
+	lone := len(fs) == 1
 	c.mu.Lock()
-	if c.crashed {
-		c.mu.Unlock()
-		return ErrCrashed
-	}
-	if len(pages) == 0 {
-		c.mu.Unlock()
-		return ErrEmptyBatch
-	}
-	if sid != 0 {
-		ok, err := c.admitWSNLocked(sid, wsn)
-		if !ok {
-			c.mu.Unlock()
-			return err
+	for i, f := range fs {
+		f.Err = nil
+		key := [2]uint64{f.SID, f.WSN}
+		var v session.Verdict
+		for {
+			switch {
+			case c.crashed:
+				f.Err = ErrCrashed
+			case len(f.Pages) == 0:
+				f.Err = ErrEmptyBatch
+			case f.SID == 0:
+				v = session.Apply
+			default:
+				v, _, f.Err = c.sess.Check(f.SID, f.WSN)
+			}
+			if f.Err != nil || v == session.Stale || v == session.Apply && !c.wsnInflight[key] || !lone {
+				break
+			}
+			c.wsnCond.Wait()
+		}
+		switch {
+		case f.Err != nil:
+		case v == session.Stale:
+			// Already applied; the re-ACK is the success path.
+			c.stats.StaleWrites++
+			c.met.staleWrites.Inc()
+		case v == session.Apply && !c.wsnInflight[key]:
+			if f.SID != 0 {
+				c.wsnInflight[key] = true
+			}
+			a.subs = append(a.subs, flushRef{idx: i, sid: f.SID, wsn: f.WSN, tid: f.TraceID, pages: len(f.Pages), bytes: logicalBytes(f.Pages)})
+		default:
+			f.Err = errDeferred
 		}
 	}
 	c.mu.Unlock()
-	if timed {
+	if timed && len(a.subs) > 0 {
 		if c.met.on {
 			c.met.claimNS.ObserveDuration(time.Since(tClaim))
 		}
-		c.trc.Span(trace.KClaim, traceID, sid, wsn, tClaim, 0, 0)
+		c.spanSubs(trace.KClaim, a, tClaim)
 	}
+}
 
-	// Build the aligned write buffer outside the lock: validating, copying
-	// and padding the batch is per-action work.
-	a := &action{}
-	a.subs = a.subsArr[:1]
-	a.subs[0] = flushRef{sid: sid, wsn: wsn, tid: traceID, pages: len(pages), bytes: logicalBytes(pages)}
-	var err error
-	a.buf, a.pb, a.bps, err = buildBatch(pages)
-
+// releaseClaim drops the claim of a flush that failed after admission,
+// so a retry of the same WSN can be admitted again.
+func (c *Controller) releaseClaim(s flushRef) {
+	if s.sid == 0 {
+		return
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err == nil && c.crashed {
-		err = ErrCrashed
-	}
-	if err == nil {
-		err = c.writeUser(a)
-	}
-	if a.pb != nil {
-		// The flash programs have completed (or were never submitted):
-		// the pooled program buffer goes back to the pool here and
-		// nowhere else.
-		a.pb.Release()
-		a.pb = nil
-	}
-	if sid != 0 {
-		delete(c.wsnInflight, [2]uint64{sid, wsn})
-		c.wsnCond.Broadcast()
-	}
-	if err == nil {
-		c.maybeGCLocked()
-		c.maybeCheckpointLocked()
-	}
-	return err
+	delete(c.wsnInflight, [2]uint64{s.sid, s.wsn})
+	c.wsnCond.Broadcast()
+	c.mu.Unlock()
 }
 
 // logicalBytes sums the pages' logical (pre-alignment) sizes.
@@ -162,53 +266,10 @@ func logicalBytes(pages []LPage) int64 {
 	return n
 }
 
-// admitWSNLocked gates a batch on its session's write sequence number
-// (§III-A2) and claims (sid, wsn) so a concurrent duplicate submission of
-// the same WSN cannot be admitted while this one runs outside the lock.
-// ok=false with a nil error means the batch is stale and was re-ACKed.
-func (c *Controller) admitWSNLocked(sid, wsn uint64) (bool, error) {
-	key := [2]uint64{sid, wsn}
-	for {
-		v, _, err := c.sess.Check(sid, wsn)
-		if err != nil {
-			return false, err
-		}
-		if v == session.Stale {
-			c.stats.StaleWrites++
-			c.met.staleWrites.Inc()
-			return false, nil
-		}
-		if v == session.Apply && !c.wsnInflight[key] {
-			c.wsnInflight[key] = true
-			return true, nil
-		}
-		c.wsnCond.Wait()
-		if c.crashed {
-			return false, ErrCrashed
-		}
-	}
-}
-
-// buildBatch lays the pages out back to back (64-byte aligned) in one
-// pooled write buffer, exactly as the batch arrives over the wire. The
-// buffer is borrowed from bufpool — the caller releases it once the
-// flash programs have completed (after writeUser returns) — so the
-// steady-state write path allocates no per-batch program buffer.
-func buildBatch(pages []LPage) ([]byte, *bufpool.Buf, []provision.BatchPage, error) {
-	total, err := validatePages(pages)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	pb := bufpool.Get(total)
-	buf := pb.Bytes()
-	bps, _ := layoutPages(buf, make([]provision.BatchPage, 0, len(pages)), 0, pages)
-	return buf, pb, bps, nil
-}
-
 // validatePages rejects empty or non-user pages and returns the total
-// aligned buffer size the batch needs. Split from layoutPages so a
-// coalesced group can validate each sub-flush in isolation before
-// laying all of them into one shared buffer.
+// aligned buffer size the flush needs. Split from layoutPages so each
+// flush of a group is validated in isolation before all of them are
+// laid into one shared buffer.
 func validatePages(pages []LPage) (alignedTotal int, err error) {
 	total := 0
 	for _, p := range pages {
@@ -238,9 +299,8 @@ func layoutPages(buf []byte, bps []provision.BatchPage, off int, pages []LPage) 
 	return bps, off
 }
 
-// spanSubs emits one span per flush the action carries, so every
-// merged sub-flush of a coalesced group (and the single flush of a
-// plain batch) sees the action's stage under its own trace ID.
+// spanSubs emits one span per flush the action carries, so every flush
+// sees the action's stage under its own trace ID.
 func (c *Controller) spanSubs(k trace.Kind, a *action, t0 time.Time) {
 	for i := range a.subs {
 		s := &a.subs[i]
@@ -248,8 +308,8 @@ func (c *Controller) spanSubs(k trace.Kind, a *action, t0 time.Time) {
 	}
 }
 
-// writeUser runs one user system action — one flush, or a coalesced
-// group of them sharing the provision/program/commit machinery. Called
+// writeUser runs one user system action — one flush, or a group of
+// them sharing the provision/program/commit machinery. Called
 // and returned with c.mu held; the lock is released while flash
 // programs execute and while the commit record is forced. The caller
 // owns a.pb and releases it after writeUser returns: every read of

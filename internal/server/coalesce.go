@@ -55,12 +55,13 @@ func (c CoalesceConfig) withDefaults() CoalesceConfig {
 	return c
 }
 
-// pendingFlush is one connection's seat in a coalescing round. Each
-// connection owns exactly one and reuses it across requests: done is
-// buffered and receives exactly one token per round the seat joined as
-// a follower, so no allocation happens per coalesced flush.
+// pendingFlush is one connection's flush seat, which also seats it in a
+// coalescing round. Each connection owns exactly one and reuses it
+// across requests: done is buffered and receives exactly one token per
+// round the seat joined as a follower, so no allocation happens per
+// coalesced flush.
 type pendingFlush struct {
-	sub  core.SubFlush
+	sub  core.Flush
 	done chan struct{}
 }
 
@@ -133,11 +134,11 @@ func (co *coalescer) submit(pf *pendingFlush, wireBytes int64) {
 	co.filled = nil
 	co.mu.Unlock()
 
-	subs := make([]*core.SubFlush, len(batch))
+	subs := make([]*core.Flush, len(batch))
 	for i, p := range batch {
 		subs[i] = &p.sub
 	}
-	co.ctl.WriteBatchGroup(subs)
+	co.ctl.Write(subs)
 	for _, p := range batch {
 		if p != pf {
 			p.done <- struct{}{}

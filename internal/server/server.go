@@ -5,7 +5,7 @@
 // in-process.
 //
 // Each accepted connection gets one goroutine that decodes frames and
-// feeds Controller.WriteBatchWire, so concurrent connections drive the
+// feeds Controller.Write, so concurrent connections drive the
 // parallel write pipeline exactly like in-process writers (DESIGN.md
 // §4.1): their flash programs overlap across channels and their commit
 // records share forced log pages. The front-end adds the service
@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"eleos/internal/addr"
-	"eleos/internal/bufpool"
 	"eleos/internal/core"
 	"eleos/internal/metrics"
 	"eleos/internal/netproto"
@@ -74,11 +73,6 @@ type Config struct {
 	// coalescer (so merged batches never share budgets). Off by
 	// default.
 	QoS qos.Config
-	// LegacyCopyPath restores the pre-pooling request loop — allocating
-	// frame reads, copying batch decode, per-reply body allocations —
-	// as the baseline arm of A/B benchmarks (benchrunner hotpath). Not
-	// for production use.
-	LegacyCopyPath bool
 }
 
 func (c Config) withDefaults() Config {
@@ -346,15 +340,15 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // connState is one connection's reusable hot-path machinery: the frame
 // writer with its scratch, the reply-body scratch the dispatch cases
-// append into, the zero-copy page views of the coalesced flush path,
-// and the connection's coalescing seat. One goroutine owns all of it —
+// append into, the zero-copy page views every flush decodes into, and
+// the connection's flush seat. One goroutine owns all of it —
 // except while a stats watcher is active, when the watcher goroutine
 // shares the socket's write side under wmu.
 type connState struct {
 	fw      *netproto.FrameWriter
 	scratch []byte       // reply bodies are appended here
-	views   []core.LPage // batch views for coalesced flushes
-	pf      pendingFlush // reusable coalescing seat
+	views   []core.LPage // zero-copy page views of the current flush
+	pf      pendingFlush // reusable flush seat
 
 	// wmu serializes frame writes (and the write deadline) between the
 	// request/reply loop and the watch_stats push goroutine. Uncontended
@@ -414,7 +408,6 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		s.met.activeConns.Add(-1)
 	}()
-	legacy := s.cfg.LegacyCopyPath
 	for {
 		s.mu.Lock()
 		draining := s.draining
@@ -431,17 +424,7 @@ func (s *Server) handle(conn net.Conn) {
 		} else {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
-		var (
-			typ  byte
-			body []byte
-			fbuf *bufpool.Buf
-			err  error
-		)
-		if legacy {
-			typ, body, err = netproto.ReadFrame(conn, s.cfg.MaxFrameBytes)
-		} else {
-			typ, body, fbuf, err = netproto.ReadFrameBuf(conn, s.cfg.MaxFrameBytes)
-		}
+		typ, body, fbuf, err := netproto.ReadFrameBuf(conn, s.cfg.MaxFrameBytes)
 		if err != nil {
 			// EOF and deadline pokes are routine; anything else malformed
 			// costs the peer its connection.
@@ -469,23 +452,13 @@ func (s *Server) handle(conn net.Conn) {
 		s.met.requests.Inc()
 		s.met.bytesIn.Add(inBytes)
 		rtyp, rhead, rtail := s.dispatch(cn, typ, body)
-		// Every borrower of the request's bytes (batch decode, the group
+		// Every borrower of the request's bytes (batch decode, the
 		// write's page views, the flash programs) finished inside
 		// dispatch; the frame goes back to the pool before the reply I/O.
-		if fbuf != nil {
-			fbuf.Release()
-		}
+		fbuf.Release()
 		cn.wmu.Lock()
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
-		if legacy {
-			if rtail != nil {
-				rhead = append(append(make([]byte, 0, len(rhead)+len(rtail)), rhead...), rtail...)
-				rtail = nil
-			}
-			err = netproto.WriteFrame(conn, rtyp, rhead)
-		} else {
-			err = cn.fw.WriteFrame2(rtyp, rhead, rtail)
-		}
+		err = cn.fw.WriteFrame2(rtyp, rhead, rtail)
 		cn.wmu.Unlock()
 		if err != nil {
 			return
@@ -700,20 +673,7 @@ func (s *Server) flush(cn *connState, sid, wsn, traceID uint64, wire []byte) (by
 	if s.cfg.SlowBatchThreshold > 0 {
 		t0 = time.Now()
 	}
-	var err error
-	switch {
-	case s.co != nil && n <= s.co.cfg.ThresholdBytes:
-		err = s.coalescedFlush(cn, sid, wsn, traceID, wire)
-	case s.cfg.LegacyCopyPath:
-		// The pre-pooling shape: copying decode, then the page-slice
-		// write path.
-		var pages []core.LPage
-		if pages, err = core.DecodeBatch(wire); err == nil {
-			err = s.ctl.WriteBatchTraced(sid, wsn, traceID, pages)
-		}
-	default:
-		err = s.ctl.WriteBatchWireTraced(sid, wsn, traceID, wire)
-	}
+	err := s.write(cn, sid, wsn, traceID, wire)
 	s.release(n)
 	s.qos.Release(tenant, n)
 	if s.cfg.SlowBatchThreshold > 0 {
@@ -784,21 +744,27 @@ func (s *Server) readBatch(cn *connState, lpids64 []uint64) (byte, []byte, []byt
 	return netproto.MsgRespReadBatch, cn.scratch, nil
 }
 
-// coalescedFlush runs one eligible flush through the coalescer: decode
-// to zero-copy views in the connection's scratch, take a seat in the
-// current round, and wait for the round's group write. The views alias
-// the pooled request frame, which the connection goroutine keeps
-// referenced until after dispatch returns — and it is parked here for
-// the whole group write, so every view the leader reads stays alive.
-func (s *Server) coalescedFlush(cn *connState, sid, wsn, traceID uint64, wire []byte) error {
+// write decodes a flush to zero-copy views in the connection's scratch
+// and runs it from the connection's seat: through the coalescer when
+// the flush is small enough to share a round, else as a lone
+// Controller.Write. The views alias the pooled request frame, which the
+// connection goroutine keeps referenced until after dispatch returns —
+// and it is parked here for the whole write, so every view the
+// controller reads stays alive.
+func (s *Server) write(cn *connState, sid, wsn, traceID uint64, wire []byte) error {
 	pages, err := core.AppendBatchView(cn.views[:0], wire)
 	if err != nil {
 		cn.views = cn.views[:0]
 		return err
 	}
 	pf := &cn.pf
-	pf.sub = core.SubFlush{SID: sid, WSN: wsn, TraceID: traceID, Pages: pages}
-	s.co.submit(pf, int64(len(wire)))
+	pf.sub = core.Flush{SID: sid, WSN: wsn, TraceID: traceID, Pages: pages}
+	if n := int64(len(wire)); s.co != nil && n <= s.co.cfg.ThresholdBytes {
+		s.co.submit(pf, n)
+	} else {
+		seat := [1]*core.Flush{&pf.sub}
+		s.ctl.Write(seat[:])
+	}
 	err = pf.sub.Err
 	// Drop the frame aliases before the seat is reused: a parked view
 	// must never outlive its frame's reference.

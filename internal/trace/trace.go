@@ -15,8 +15,8 @@
 //
 // Events carry a trace ID that ties a batch's spans together across
 // layers. IDs originate at the network front-end (or from NewTraceID for
-// in-process callers) and propagate through WriteBatchTraced down to
-// migration actions triggered by the batch's own media failure, so a
+// in-process callers) and propagate through each core.Flush's TraceID
+// down to migration actions triggered by the batch's own media failure, so a
 // failure's aftermath is attributable to the request that caused it.
 package trace
 
