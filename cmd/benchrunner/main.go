@@ -86,7 +86,7 @@ func main() {
 		fairAggr    = flag.Int("fairaggressors", 3, "noisy-tenant connections (fairness)")
 		fairJSON    = flag.String("fairjson", "BENCH_fairness.json", "JSON output file for the fairness experiment (empty disables)")
 		maxP99Infl  = flag.Float64("maxp99inflation", 0, "fail if the qos arm's quiet-tenant p99 exceeds this multiple of the solo baseline (0 disables the gate)")
-		wafBatches  = flag.Int("wafbatches", 600, "batches per (policy, workload) arm (waf)")
+		wafBatches  = flag.Int("wafbatches", 2000, "batches per (policy, workload) arm (waf)")
 		wafSeed     = flag.Int64("wafseed", 1, "workload RNG seed (waf)")
 		wafJSON     = flag.String("wafjson", "BENCH_waf.json", "JSON output file for the waf experiment (empty disables)")
 		maxWAF      = flag.Float64("maxwaf", 0, "fail if the default policy's btree-churn WAF exceeds this (0 disables the gate)")

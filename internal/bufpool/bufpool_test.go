@@ -95,6 +95,9 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		u.Release()
 		u.Release()
 	})
+	if raceEnabled {
+		t.Skipf("race detector drops sync.Pool Puts (%.1f allocs per run); zero-alloc is checked without -race", allocs)
+	}
 	if allocs > 0 {
 		t.Fatalf("steady-state Get/Release allocates %.1f per run, want 0", allocs)
 	}

@@ -139,6 +139,12 @@ func (c *Controller) forceCloseLocked(ref summary.OpenRef) error {
 	if err != nil {
 		return err
 	}
+	if d.State != summary.Open || d.Stream != ref.Stream {
+		// A migration set off by an earlier force-close of this checkpoint
+		// erased the EBLOCK after the open list was taken; programming
+		// metadata into it now would write into a free EBLOCK.
+		return nil
+	}
 	meta := c.st.Meta(ref.Channel, ref.EBlock)
 	img := summary.EncodeMetaBlock(meta)
 	w := c.geo.WBlockBytes

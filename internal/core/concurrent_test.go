@@ -47,6 +47,9 @@ func stressController(t *testing.T) (*Controller, *flash.Device) {
 		EBlockBytes: 256 << 10, WBlockBytes: 16 << 10, RBlockBytes: 4 << 10,
 	}
 	dev := flash.MustNewDevice(geo, flash.Latency{})
+	// The per-channel workers keep an unclosed device, and every byte
+	// programmed into it, alive for the rest of the test binary.
+	t.Cleanup(dev.Close)
 	cfg := testConfig()
 	cfg.GCFreeFraction = 0.25 // enough pressure that GC runs during the test
 	cfg.AutoCheckpointLogBytes = 1 << 20

@@ -271,6 +271,13 @@ type Controller struct {
 	// and released at install/abort; GC victim selection and migration
 	// skip or wait on them exactly like inflight.
 	pinned map[[2]int]int
+	// closing holds the TAGs a submitted plan closed an EBLOCK with until
+	// the plan's programs land. The summary table drops an EBLOCK's
+	// in-memory metadata when the plan is applied, before the metadata
+	// WBLOCKs are programmed; if that program fails, these entries are
+	// the only record of the live pages in the EBLOCK, so they stay until
+	// the migration (or GC) that moves those pages erases it.
+	closing map[[2]int][]summary.MetaEntry
 	// wsnInflight claims a (sid, wsn) admission while its batch runs with
 	// c.mu released, so a concurrent duplicate submission cannot be
 	// admitted twice.
@@ -349,6 +356,7 @@ func newController(dev *flash.Device, cfg Config) (*Controller, error) {
 		active:      make(map[uint64]record.LSN),
 		inflight:    make(map[[2]int]int),
 		pinned:      make(map[[2]int]int),
+		closing:     make(map[[2]int][]summary.MetaEntry),
 		wsnInflight: make(map[[2]uint64]bool),
 		ckptEB:       ckptEBlockA,
 		crashPoints:  make(map[string]bool),

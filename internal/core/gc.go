@@ -140,7 +140,7 @@ func (c *Controller) gcEBlockLocked(ch, eb int) error {
 	if d.Stream == record.StreamLog {
 		return c.eraseAndFreeLocked(ch, eb)
 	}
-	entries, err := c.readMetaLocked(ch, eb, d)
+	entries, err := c.usedMetaLocked(ch, eb, d)
 	if err != nil {
 		// Metadata unreadable: the EBLOCK was erased after a committed GC
 		// pre-crash (nothing reachable lives here) — reclaim it.
@@ -162,6 +162,16 @@ func (c *Controller) gcEBlockLocked(ch, eb int) error {
 		return err
 	}
 	return c.eraseAndFreeLocked(ch, eb)
+}
+
+// usedMetaLocked returns a Used EBLOCK's TAGs: the ones its closing plan
+// carried while its metadata block has not landed (see Controller.closing),
+// otherwise the flushed metadata block.
+func (c *Controller) usedMetaLocked(ch, eb int, d summary.Descriptor) ([]summary.MetaEntry, error) {
+	if m, ok := c.closing[[2]int{ch, eb}]; ok {
+		return m, nil
+	}
+	return c.readMetaLocked(ch, eb, d)
 }
 
 // readMetaLocked reads and decodes an EBLOCK's flushed metadata block.
@@ -383,6 +393,7 @@ func (c *Controller) eraseAndFreeLocked(ch, eb int) error {
 	// chaos corpus surfaced it as `apply close: eblock not open: (ch,eb)
 	// is bad` (see TestGCMarkBadDropsCursor).
 	c.prov.DropOpen(ch, eb)
+	delete(c.closing, [2]int{ch, eb})
 	if err := c.dev.Erase(ch, eb); err != nil {
 		_ = c.st.MarkBad(ch, eb, c.lsnHint())
 		return err

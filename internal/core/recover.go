@@ -205,11 +205,18 @@ func Open(dev *flash.Device, cfg Config) (*Controller, error) {
 			}
 		}
 	}
+	var noRoom [][2]int // open user/GC EBLOCKs that cannot take their metadata
 	for ch := 0; ch < c.geo.Channels; ch++ {
 		for eb := 0; eb < c.geo.EBlocksPerChannel; eb++ {
 			d, err := c.st.Desc(ch, eb)
 			if err != nil {
 				return nil, err
+			}
+			if d.State == summary.Free {
+				if err := c.scrubFreeEBlock(ch, eb, d, fixLSN); err != nil {
+					return nil, err
+				}
+				continue
 			}
 			if d.State != summary.Open {
 				continue
@@ -239,6 +246,11 @@ func Open(dev *flash.Device, cfg Config) (*Controller, error) {
 			if err := c.st.SetDataWBlocks(ch, eb, pos, fixLSN); err != nil {
 				return nil, err
 			}
+			w := c.geo.WBlockBytes
+			metaWB := (summary.MetaBlockSize(len(c.st.Meta(ch, eb))) + w - 1) / w
+			if pos+metaWB > c.geo.WBlocksPerEBlock() {
+				noRoom = append(noRoom, [2]int{ch, eb})
+			}
 		}
 	}
 
@@ -260,7 +272,33 @@ func Open(dev *flash.Device, cfg Config) (*Controller, error) {
 	c.hintLSN.Store(uint64(tail.LastLSN + 1))
 	c.prov.RebuildFromSummary()
 	c.lastCkptLSN = tail.LastLSN + 1
+
+	// An action that never committed may have programmed an open EBLOCK
+	// up to (or through) the WBLOCKs its metadata block needs. Such an
+	// EBLOCK can never close — the next close would plan its metadata
+	// past the EBLOCK's end — so its committed pages migrate away now,
+	// exactly as after a failed program.
+	c.mu.Lock()
+	c.migrateFailedLocked(noRoom, 0)
+	c.mu.Unlock()
 	return c, nil
+}
+
+// scrubFreeEBlock erases a Free EBLOCK that holds programs. An action
+// that never committed can take an EBLOCK off the free list and program
+// it before a crash loses its OpenEBlock record; nothing committed lives
+// there, but the next open would program it from WBLOCK 0 and fail. A
+// failed erase retires the EBLOCK.
+func (c *Controller) scrubFreeEBlock(ch, eb int, d summary.Descriptor, lsn record.LSN) error {
+	pos, err := c.dev.NextProgramPosition(ch, eb)
+	if err != nil || pos == 0 {
+		return err
+	}
+	if err := c.dev.Erase(ch, eb); err != nil {
+		return c.st.MarkBad(ch, eb, lsn)
+	}
+	d.EraseCount++
+	return c.st.SetDesc(ch, eb, d, lsn)
 }
 
 // replayCtx carries pass-2 state: the committed-action set and, per open

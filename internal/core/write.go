@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"eleos/internal/addr"
@@ -614,6 +615,9 @@ func (c *Controller) submitPlanLocked(buf []byte, plan *provision.Plan, src flas
 		c.inflight[key]++
 		c.pinned[key]++
 	}
+	for _, cl := range plan.Closes {
+		c.closing[[2]int{cl.Channel, cl.EBlock}] = cl.Meta
+	}
 	return c.dev.SubmitBatch(cmds)
 }
 
@@ -630,12 +634,20 @@ func (c *Controller) unpinPlanLocked(plan *provision.Plan) {
 }
 
 // finishPlanLocked retires a completed batch's in-flight bookkeeping and
-// wakes waiters (GC, checkpoint and migration drain on ioCond).
+// wakes waiters (GC, checkpoint and migration drain on ioCond). A closed
+// EBLOCK that did not fail has its metadata block on flash now, so its
+// retained TAGs are dropped; a failed one keeps them for its migration.
 func (c *Controller) finishPlanLocked(plan *provision.Plan, res flash.BatchResult) {
 	for _, io := range plan.IOs {
 		key := [2]int{io.Channel, io.EBlock}
 		if c.inflight[key]--; c.inflight[key] <= 0 {
 			delete(c.inflight, key)
+		}
+	}
+	for _, cl := range plan.Closes {
+		key := [2]int{cl.Channel, cl.EBlock}
+		if !slices.Contains(res.FailedEBlocks, key) {
+			delete(c.closing, key)
 		}
 	}
 	c.stats.IOCommands += int64(res.Attempted)
@@ -741,7 +753,7 @@ func (c *Controller) migrateEBlockLocked(ch, eb int, traceID uint64) error {
 	case summary.Open:
 		entries = c.st.Meta(ch, eb)
 	case summary.Used:
-		entries, err = c.readMetaLocked(ch, eb, d)
+		entries, err = c.usedMetaLocked(ch, eb, d)
 		if err != nil {
 			entries = nil // unreadable: nothing reachable lives here
 			c.stats.GCMetaUnreadable++

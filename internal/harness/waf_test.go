@@ -16,7 +16,7 @@ import (
 // sequential arm, GC actually engaged, and the gated number is the
 // default policy's churn WAF.
 func TestWAFRuns(t *testing.T) {
-	res, err := RunWAF([]core.GCPolicy{core.GCMinCostDecline, core.GCGreedy}, 500, 3)
+	res, err := RunWAF([]core.GCPolicy{core.GCMinCostDecline, core.GCGreedy}, 2000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

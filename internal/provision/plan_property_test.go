@@ -20,7 +20,8 @@ import (
 //     whose buffer range maps it to the right flash offset;
 //  3. summary metadata gains one entry per placed page, in plan order;
 //  4. placements within an EBLOCK have strictly increasing offsets over
-//     time (the monotonicity GC's validity scan relies on, §VI-C).
+//     time (the monotonicity GC's validity scan relies on, §VI-C);
+//  5. no IO targets a WBLOCK past the EBLOCK's end.
 func TestPlanGeometryPropertyQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -88,6 +89,11 @@ func TestPlanGeometryPropertyQuick(t *testing.T) {
 			type ioKey struct{ ch, eb, wb int }
 			ios := map[ioKey]IO{}
 			for _, io := range plan.IOs {
+				// (5)
+				if io.WBlock < 0 || io.WBlock >= geo.WBlocksPerEBlock() {
+					t.Logf("IO past the EBLOCK: %+v", io)
+					return false
+				}
 				if io.Inline == nil {
 					ios[ioKey{io.Channel, io.EBlock, io.WBlock}] = io
 				}
@@ -164,6 +170,78 @@ func TestPlanGeometryPropertyQuick(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPartitionPropertyQuick checks the global tier's split of random
+// buffers over random channel counts: the chunks are the buffer's pages
+// in order, there are at most min(Channels, ceil(total/W)) of them, and
+// every chunk but the last fits the per-chunk budget of
+// ceil(ceil(total/W)/n) WBLOCKs unless it is a single page.
+func TestPartitionPropertyQuick(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		geo := flash.SmallGeometry()
+		geo.Channels = 1 + rng.Intn(8)
+		st, err := summary.New(geo, 8)
+		if err != nil {
+			return false
+		}
+		p, err := New(geo, st, DefaultConfig())
+		if err != nil {
+			return false
+		}
+		w := geo.WBlockBytes
+		sizes := make([]int, 1+rng.Intn(40))
+		for i := range sizes {
+			if rng.Intn(8) == 0 {
+				sizes[i] = 64 * (1 + rng.Intn(3*w/64)) // up to three WBLOCKs
+			} else {
+				sizes[i] = 64 * (1 + rng.Intn(128)) // 64 B .. 8 KB
+			}
+		}
+		pages := contiguousPages(sizes...)
+		total := 0
+		for _, sz := range sizes {
+			total += sz
+		}
+		wblocks := (total + w - 1) / w
+		n := min(geo.Channels, wblocks)
+		budget := (wblocks + n - 1) / n * w
+
+		chunks := p.partition(pages)
+		if len(chunks) == 0 || len(chunks) > n {
+			t.Logf("%d chunks for %d bytes on %d channels, want 1..%d", len(chunks), total, geo.Channels, n)
+			return false
+		}
+		i := 0
+		for k, chunk := range chunks {
+			if len(chunk) == 0 {
+				t.Logf("chunk %d empty", k)
+				return false
+			}
+			bytes := 0
+			for _, pg := range chunk {
+				if pg != pages[i] {
+					t.Logf("chunk %d: page %+v, want %+v", k, pg, pages[i])
+					return false
+				}
+				bytes += pg.Length
+				i++
+			}
+			if k < len(chunks)-1 && bytes > budget && len(chunk) > 1 {
+				t.Logf("chunk %d holds %d bytes over a budget of %d", k, bytes, budget)
+				return false
+			}
+		}
+		if i != len(pages) {
+			t.Logf("chunks hold %d of %d pages", i, len(pages))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,13 +1,15 @@
 // Package provision implements ELEOS's two-tier write provisioning
 // (§IV-A1) and I/O command generation (§IV-A2).
 //
-// Global provisioning partitions a write buffer into per-channel chunks of
-// approximately equal size, respecting LPAGE boundaries so every LPAGE is
-// stored contiguously within a single channel. Channel provisioning then
-// allocates physical addresses at WBLOCK granularity from the channel's
-// open EBLOCK for the requesting write stream (user, GC, or log), closing
-// full EBLOCKs (scheduling their metadata flush as the final I/O commands)
-// and opening fresh ones from the free list.
+// Global provisioning partitions a write buffer into per-channel chunks,
+// respecting LPAGE boundaries so every LPAGE is stored contiguously within
+// a single channel. Each chunk's tail WBLOCK is padded on flash, so a
+// buffer gets no more chunks than it has WBLOCKs of data and no chunk
+// crosses its WBLOCK budget. Channel provisioning then allocates physical
+// addresses at WBLOCK granularity from the channel's open EBLOCK for the
+// requesting write stream (user, GC, or log), closing full EBLOCKs
+// (scheduling their metadata flush as the final I/O commands) and opening
+// fresh ones from the free list.
 //
 // Provisioning is two-phase: a *plan* is computed against a read-only view
 // of the summary table, and only applied if the whole buffer fits. This
@@ -603,28 +605,32 @@ func (p *Provisioner) dropCursor(ch, eb int) {
 	p.gcOpen[ch] = buckets
 }
 
-// partition splits pages into up to Channels contiguous chunks of roughly
-// equal byte size, respecting LPAGE boundaries (the global tier).
+// partition splits pages into contiguous chunks, respecting LPAGE
+// boundaries (the global tier). Each chunk's tail WBLOCK is padded on
+// flash, so a buffer of total bytes gets n = min(Channels, ceil(total/W))
+// chunks — never more chunks than WBLOCKs of data — and each chunk has a
+// budget of ceil(ceil(total/W)/n) WBLOCKs. A chunk closes before a page
+// that would push it past the budget (unless it is still empty), and the
+// last chunk takes whatever is left.
 func (p *Provisioner) partition(pages []BatchPage) [][]BatchPage {
 	total := 0
 	for _, pg := range pages {
 		total += pg.Length
 	}
-	n := p.geo.Channels
-	target := (total + n - 1) / n
-	var chunks [][]BatchPage
+	w := p.wblockBytes()
+	wblocks := max(1, (total+w-1)/w) // malformed lengths fail later, in place
+	n := min(p.geo.Channels, wblocks)
+	budget := (wblocks + n - 1) / n * w
+	chunks := make([][]BatchPage, 0, n)
 	start, acc := 0, 0
 	for i, pg := range pages {
-		acc += pg.Length
-		if acc >= target && len(chunks) < n-1 {
-			chunks = append(chunks, pages[start:i+1])
-			start, acc = i+1, 0
+		if acc > 0 && acc+pg.Length > budget && len(chunks) < n-1 {
+			chunks = append(chunks, pages[start:i])
+			start, acc = i, 0
 		}
+		acc += pg.Length
 	}
-	if start < len(pages) {
-		chunks = append(chunks, pages[start:])
-	}
-	return chunks
+	return append(chunks, pages[start:])
 }
 
 // --- log stream -------------------------------------------------------------
